@@ -4,7 +4,7 @@ Commands read a presentation file (rank/relator lines, # comments) and write
 plain text: one serialized object per line or block, with commentary only on
 # lines so every output feeds back into the matching parser.  Exit codes:
 0 for success or an explicit unknown, 1 for a failed --verify, 2 for bad
-usage or unparseable input.
+input, including non-concise presentations and out-of-range options.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .pairs import (
     relator_family,
 )
 from .peiffer import (
+    InconsistencyError,
     ReductionBudget,
     format_certificate,
     reduce_to_empty,
@@ -78,6 +79,7 @@ def check(presentation, fmt) -> None:
 @main.command()
 @click.argument("presentation", type=click.File("r"))
 @click.option("--max-d-len", default=2, show_default=True,
+              type=click.IntRange(min=0),
               help="Conjugator length bound for the relator family.")
 @click.option("--verify", is_flag=True,
               help="Check every relator against the pair projection.")
@@ -85,7 +87,10 @@ def check(presentation, fmt) -> None:
 def relators(presentation, max_d_len, verify, fmt) -> None:
     """Enumerate the subgroup's relator family, one word per line."""
     P = _load(presentation)
-    family = relator_family(P, max_d_len)
+    try:
+        family = relator_family(P, max_d_len)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     for w in family:
         click.echo(format_mixed_word(w))
     if verify:
@@ -100,6 +105,7 @@ def relators(presentation, max_d_len, verify, fmt) -> None:
 @click.argument("presentation", type=click.File("r"))
 @click.argument("pair")
 @click.option("--budget-steps", default=10_000, show_default=True,
+              type=click.IntRange(min=0),
               help="Search step bound for the membership decision.")
 @click.option("--verify", is_flag=True,
               help="Re-multiply any certificate and compare exactly.")
@@ -147,8 +153,10 @@ def pi(presentation, word, fmt) -> None:
 @click.argument("presentation", type=click.File("r"))
 @click.argument("word")
 @click.option("--budget-steps", default=10_000, show_default=True,
+              type=click.IntRange(min=0),
               help="Move bound for the reduction search.")
 @click.option("--budget-insertions", default=0, show_default=True,
+              type=click.IntRange(min=0),
               help="How many insertion moves the search may spend.")
 @click.option("--verify", is_flag=True,
               help="Replay the certificate before printing it.")
@@ -166,7 +174,7 @@ def reduce_identity(presentation, word, budget_steps, budget_insertions,
     )
     try:
         cert = reduce_to_empty(P, w, budget)
-    except ValueError as exc:
+    except (ValueError, InconsistencyError) as exc:
         raise click.UsageError(str(exc)) from exc
     if cert is None:
         click.echo("unknown")
@@ -189,7 +197,11 @@ def reduce_identity(presentation, word, budget_steps, budget_insertions,
 def embed_aut(presentation, fmt) -> None:
     """Print the automorphisms realizing the pair subgroup generators."""
     P = _load(presentation)
-    blocks = [format_endomorphism(e) for e in orbit_undecidable_subgroup(P)]
+    try:
+        auts = orbit_undecidable_subgroup(P)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    blocks = [format_endomorphism(e) for e in auts]
     click.echo("\n".join(blocks), nl=False)
 
 

@@ -94,6 +94,16 @@ class MixedWord:
         object.__setattr__(self, "letters", reduce_letters(raw))
 
     @classmethod
+    def _trusted(cls, n: int, m: int, letters: tuple) -> "MixedWord":
+        """A MixedWord from a letter tuple that is already freely reduced
+        and inside the alphabet of a valid shape; nothing is checked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "m", m)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def identity(cls, n: int, m: int) -> "MixedWord":
         return cls(n, m)
 
@@ -199,7 +209,10 @@ class SyllableForm:
 
 
 def decompose(w: MixedWord) -> SyllableForm:
-    """Split at every t-letter; consecutive t-letters give empty syllables."""
+    """Split at every t-letter; consecutive t-letters give empty syllables.
+
+    Syllables are subwords of a reduced word, so they are reduced already.
+    """
     syllables = []
     t_letters = []
     current = []
@@ -207,10 +220,10 @@ def decompose(w: MixedWord) -> SyllableForm:
         if abs(x) <= w.n:
             current.append(x)
         else:
-            syllables.append(Word(w.n, tuple(current)))
+            syllables.append(Word._trusted(w.n, tuple(current)))
             current = []
             t_letters.append((abs(x) - w.n, 1 if x > 0 else -1))
-    syllables.append(Word(w.n, tuple(current)))
+    syllables.append(Word._trusted(w.n, tuple(current)))
     return SyllableForm(w.n, w.m, tuple(syllables), tuple(t_letters))
 
 
@@ -254,7 +267,9 @@ def pair_image(P: Presentation, w: MixedWord) -> PairWord:
             right.extend(P.relator(x - n).letters)
         else:
             right.extend(-y for y in reversed(P.relator(-x - n).letters))
-    return PairWord(Word(n, tuple(left)), Word(n, tuple(right)))
+    return PairWord(
+        Word._trusted(n, reduce_letters(left)), Word._trusted(n, reduce_letters(right))
+    )
 
 
 def in_pair_kernel(P: Presentation, w: MixedWord) -> bool:

@@ -246,13 +246,15 @@ class TransformResult:
     forced_deletions: tuple
 
 
-def _assemble_tracked(n, m, syllables, slots):
+def _assemble_tracked(n, m, syllables, slots) -> TransformResult:
     """Reduce the interleaving u_1 t^{e_1} u_2 ... while tagging t-letters
-    by their slot number; returns (MixedWord, forced deletion positions).
+    by their slot number; returns the word and its forced deletions.
 
     When two tagged t-letters cancel, everything between them has already
     cancelled, so the matching identity terms are adjacent (after earlier
     forced deletions) and share a conjugator: a valid Peiffer deletion.
+    The syllables are reduced rank-n Words and the slots name relators of
+    the presentation, so the stack-reduced letters need no second check.
     """
     stack = []  # (signed letter, slot tag or None)
     cancelled = []
@@ -271,22 +273,25 @@ def _assemble_tracked(n, m, syllables, slots):
         x = (n + i) * sign
         if stack and stack[-1][0] == -x:
             top = stack.pop()
-            assert top[1] is not None  # t-letters only ever cancel t-letters
+            if top[1] is None:
+                raise InconsistencyError("a t-letter cancelled against a d-letter")
             cancelled.append((top[1], slot_number))
         else:
             stack.append((x, slot_number))
     push_d(syllables[-1].letters)
 
-    word = MixedWord(n, m, tuple(x for x, _ in stack))
+    word = MixedWord._trusted(n, m, tuple([x for x, _ in stack]))
     live = list(range(1, slot_number + 1))
     forced = []
     for a, b in cancelled:
         ia = live.index(a)
-        assert live[ia + 1] == b  # cancelled pairs nest, so they are adjacent
+        if live[ia + 1 : ia + 2] != [b]:
+            raise InconsistencyError("cancelled t-letter pairs do not nest")
         forced.append(ia + 1)
         del live[ia : ia + 2]
-    assert live == [tag for _, tag in stack if tag is not None]
-    return word, tuple(forced)
+    if live != [tag for _, tag in stack if tag is not None]:
+        raise InconsistencyError("forced deletions do not match the reduced word")
+    return TransformResult(word, tuple(forced))
 
 
 def _syllable_parts(w: MixedWord):
@@ -294,42 +299,37 @@ def _syllable_parts(w: MixedWord):
     return list(s.d_syllables), list(s.t_letters)
 
 
-def _check_slot_pair(w: MixedWord, p: int):
-    l = sum(1 for x in w.letters if abs(x) > w.n)
-    if not 1 <= p <= l - 1:
+def _check_slot_pair(t_count: int, p: int):
+    if not 1 <= p <= t_count - 1:
         raise InapplicableMoveError(
-            f"position {p} needs two adjacent t-letters in a word with {l}"
+            f"position {p} needs two adjacent t-letters in a word with {t_count}"
         )
 
 
-def exchange_tracked(P: Presentation, w: MixedWord, p: int) -> TransformResult:
-    """Word-level exchange at p: swap the t-letters and rewrite the three
-    surrounding syllables so the associated identity changes exactly by
-    peiffer_exchange (then any forced deletions)."""
-    _require_kernel(P, w)
-    _check_slot_pair(w, p)
-    syl, slots = _syllable_parts(w)
+# The private transforms below act on a kernel word w given its syllables
+# and t-slots (from _syllable_parts), which they splice in place; callers
+# that reuse one decomposition pass copies.  Kernel membership is the
+# caller's duty.
+
+
+def _exchange(P, w, syl, slots, p):
+    _check_slot_pair(len(slots), p)
     i2, e2 = slots[p]
     r = P.relator(i2)
     u_p, u_p1, u_p2 = syl[p - 1], syl[p], syl[p + 1]
     syl[p - 1 : p + 2] = [u_p * u_p1, r ** (-e2) * u_p1.inverse(), u_p1 * r**e2 * u_p2]
     slots[p - 1], slots[p] = slots[p], slots[p - 1]
-    word, forced = _assemble_tracked(w.n, w.m, syl, slots)
-    return TransformResult(word, forced)
+    return _assemble_tracked(w.n, w.m, syl, slots)
 
 
-def inverse_exchange_tracked(P: Presentation, w: MixedWord, p: int) -> TransformResult:
-    """Word-level counterpart of peiffer_inverse_exchange at p."""
-    _require_kernel(P, w)
-    _check_slot_pair(w, p)
-    syl, slots = _syllable_parts(w)
+def _inverse_exchange(P, w, syl, slots, p):
+    _check_slot_pair(len(slots), p)
     i1, e1 = slots[p - 1]
     r = P.relator(i1)
     u_p, u_p1, u_p2 = syl[p - 1], syl[p], syl[p + 1]
     syl[p - 1 : p + 2] = [u_p * r**e1 * u_p1, u_p1.inverse() * r ** (-e1), u_p1 * u_p2]
     slots[p - 1], slots[p] = slots[p], slots[p - 1]
-    word, forced = _assemble_tracked(w.n, w.m, syl, slots)
-    return TransformResult(word, forced)
+    return _assemble_tracked(w.n, w.m, syl, slots)
 
 
 def _deletion_blocker(P: Presentation, syl, slots, p: int):
@@ -343,16 +343,8 @@ def _deletion_blocker(P: Presentation, syl, slots, p: int):
     return None
 
 
-def deletion_tracked(P: Presentation, w: MixedWord, p: int) -> TransformResult:
-    """Word-level deletion at p: drop both t-letters and merge the three
-    syllables around them.
-
-    The cancelling pair forces i_p = i_{p+1}, opposite signs, and a middle
-    syllable lying in the cyclic subgroup generated by the relator root;
-    violations mean the presentation is not concise and are surfaced."""
-    _require_kernel(P, w)
-    _check_slot_pair(w, p)
-    syl, slots = _syllable_parts(w)
+def _delete(P, w, syl, slots, p):
+    _check_slot_pair(len(slots), p)
     blocker = _deletion_blocker(P, syl, slots, p)
     if blocker is not None:
         raise InapplicableMoveError(blocker)
@@ -376,20 +368,10 @@ def deletion_tracked(P: Presentation, w: MixedWord, p: int) -> TransformResult:
             )
     syl[p - 1 : p + 2] = [syl[p - 1] * u_mid * syl[p + 1]]
     del slots[p - 1 : p + 1]
-    word, forced = _assemble_tracked(w.n, w.m, syl, slots)
-    return TransformResult(word, forced)
+    return _assemble_tracked(w.n, w.m, syl, slots)
 
 
-def insertion_tracked(
-    P: Presentation, w: MixedWord, data: InsertionData
-) -> TransformResult:
-    """Word-level insertion: splice the t-pair fragment into syllable p.
-
-    The associated identity changes by peiffer_insert at p with conjugator
-    cap(u_1..u_{p-1}) * cap(alpha); a deletion at the new position recovers
-    a word freely equal to w."""
-    _require_kernel(P, w)
-    syl, slots = _syllable_parts(w)
+def _insert(P, w, syl, slots, data):
     p = data.syllable_index
     if p > len(syl):
         raise InapplicableMoveError(
@@ -410,8 +392,54 @@ def insertion_tracked(
         (data.relator_index, data.sign),
         (data.relator_index, -data.sign),
     ]
-    word, forced = _assemble_tracked(w.n, w.m, syl, slots)
-    return TransformResult(word, forced)
+    return _assemble_tracked(w.n, w.m, syl, slots)
+
+
+# move kind -> private transform; the one dispatch for the search, the
+# certificate builder and the verifier
+_TRANSFORMS = {
+    "exchange": _exchange,
+    "inv-exchange": _inverse_exchange,
+    "delete": _delete,
+    "insert": _insert,
+}
+
+
+def exchange_tracked(P: Presentation, w: MixedWord, p: int) -> TransformResult:
+    """Word-level exchange at p: swap the t-letters and rewrite the three
+    surrounding syllables so the associated identity changes exactly by
+    peiffer_exchange (then any forced deletions)."""
+    _require_kernel(P, w)
+    return _exchange(P, w, *_syllable_parts(w), p)
+
+
+def inverse_exchange_tracked(P: Presentation, w: MixedWord, p: int) -> TransformResult:
+    """Word-level counterpart of peiffer_inverse_exchange at p."""
+    _require_kernel(P, w)
+    return _inverse_exchange(P, w, *_syllable_parts(w), p)
+
+
+def deletion_tracked(P: Presentation, w: MixedWord, p: int) -> TransformResult:
+    """Word-level deletion at p: drop both t-letters and merge the three
+    syllables around them.
+
+    The cancelling pair forces i_p = i_{p+1}, opposite signs, and a middle
+    syllable lying in the cyclic subgroup generated by the relator root;
+    violations mean the presentation is not concise and are surfaced."""
+    _require_kernel(P, w)
+    return _delete(P, w, *_syllable_parts(w), p)
+
+
+def insertion_tracked(
+    P: Presentation, w: MixedWord, data: InsertionData
+) -> TransformResult:
+    """Word-level insertion: splice the t-pair fragment into syllable p.
+
+    The associated identity changes by peiffer_insert at p with conjugator
+    cap(u_1..u_{p-1}) * cap(alpha); a deletion at the new position recovers
+    a word freely equal to w."""
+    _require_kernel(P, w)
+    return _insert(P, w, *_syllable_parts(w), data)
 
 
 def exchange_transform(P: Presentation, w: MixedWord, p: int) -> MixedWord:
@@ -434,7 +462,7 @@ def insertion_transform(P: Presentation, w: MixedWord, data: InsertionData) -> M
 # Reduction engine
 # ---------------------------------------------------------------------------
 
-_MOVE_KINDS = ("exchange", "inv-exchange", "delete", "insert")
+_MOVE_KINDS = tuple(_TRANSFORMS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -503,14 +531,13 @@ def _prefix_conjugator(w: MixedWord, count: int) -> Word:
     return out
 
 
-def _apply_tracked(P: Presentation, w: MixedWord, move: Move) -> TransformResult:
-    if move.kind == "exchange":
-        return exchange_tracked(P, w, move.position)
-    if move.kind == "inv-exchange":
-        return inverse_exchange_tracked(P, w, move.position)
-    if move.kind == "delete":
-        return deletion_tracked(P, w, move.position)
-    return insertion_tracked(P, w, move.data)
+def _apply_tracked(
+    P: Presentation, w: MixedWord, syl, slots, move: Move
+) -> TransformResult:
+    """Apply a move to the kernel word w split as (syl, slots) by
+    _syllable_parts; the lists are spliced in place."""
+    arg = move.position if move.data is None else move.data
+    return _TRANSFORMS[move.kind](P, w, syl, slots, arg)
 
 
 def _replay_identity(
@@ -529,9 +556,9 @@ def _replay_identity(
     )
 
 
-def _candidate_moves(P: Presentation, w: MixedWord):
-    """Deterministic deletion/exchange candidates at one word."""
-    syl, slots = _syllable_parts(w)
+def _candidate_moves(P: Presentation, syl, slots):
+    """Deterministic deletion/exchange candidates at one word, given its
+    syllables and t-slots."""
     l = len(slots)
     out = []
     for p in range(1, l):
@@ -544,11 +571,10 @@ def _candidate_moves(P: Presentation, w: MixedWord):
     return out
 
 
-def _insertion_moves(P: Presentation, w: MixedWord):
+def _insertion_moves(P: Presentation, w: MixedWord, l: int):
     """A small deterministic insertion catalog: single-letter or empty
-    alpha, power +-1, every slot, relator, and sign."""
+    alpha, power +-1, every slot, relator, and sign (l t-letters in w)."""
     n, m = w.n, w.m
-    l = sum(1 for x in w.letters if abs(x) > n)
     alphas = [MixedWord(n, m)] + [MixedWord(n, m, (x,)) for x in letter_order(n)]
     out = []
     for p in range(1, l + 2):
@@ -570,8 +596,13 @@ def _build_certificate(P, start, edges):
     idents = [associated_identity(P, start)]
     cur = start
     for move, forced in edges:
-        res = _apply_tracked(P, cur, move)
-        assert res.forced_deletions == forced
+        _require_kernel(P, cur)
+        res = _apply_tracked(P, cur, *_syllable_parts(cur), move)
+        if res.forced_deletions != forced:
+            raise InconsistencyError(
+                f"{move.kind} {move.position} forces deletions "
+                f"{res.forced_deletions}, the search recorded {forced}"
+            )
         moves.append(move)
         idents.append(_replay_identity(P, idents[-1], move, cur))
         words.append(res.word)
@@ -580,7 +611,8 @@ def _build_certificate(P, start, edges):
             idents.append(peiffer_delete(idents[-1], q))
             words.append(res.word)
         cur = res.word
-    assert cur.is_empty and not idents[-1].terms
+    if not cur.is_empty or idents[-1].terms:
+        raise InconsistencyError("certificate replay does not end empty")
     return ReductionCertificate(tuple(moves), tuple(words), tuple(idents))
 
 
@@ -640,10 +672,13 @@ def reduce_to_empty(
         if best_insertions.get(word.letters, ins_used) < ins_used:
             continue  # superseded by a cheaper route
 
+        # per-state work, shared by every candidate below
+        _require_kernel(P, word)
+        syl, slots = _syllable_parts(word)
         if kind == "insertions":
-            candidates = _insertion_moves(P, word)
+            candidates = _insertion_moves(P, word, len(slots))
         else:
-            candidates = _candidate_moves(P, word)
+            candidates = _candidate_moves(P, syl, slots)
             if ins_used < budget.max_insertions:
                 l, c = _identity_priority(word)
                 heapq.heappush(
@@ -651,7 +686,7 @@ def reduce_to_empty(
                 )
 
         for move in candidates:
-            res = _apply_tracked(P, word, move)
+            res = _apply_tracked(P, word, syl.copy(), slots.copy(), move)
             child = res.word
             if len(child) > max_word_len:
                 continue
@@ -693,7 +728,8 @@ def verify_certificate(P: Presentation, cert: ReductionCertificate) -> bool:
                     return False
                 pending.pop(0)
                 continue
-            res = _apply_tracked(P, prev_w, move)
+            # every trail word passed the kernel check above
+            res = _apply_tracked(P, prev_w, *_syllable_parts(prev_w), move)
             if words[k] != res.word:
                 return False
             if idents[k] != _replay_identity(P, prev_i, move, prev_w):

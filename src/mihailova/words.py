@@ -1,9 +1,11 @@
 """Exact arithmetic in finitely generated free groups.
 
 A word is stored freely reduced over a 1-based alphabet: the letter ``k``
-(k > 0) is the k-th generator and ``-k`` its inverse.  Every constructor
-normalizes, so two words are equal in the free group iff they compare equal
-as values.  All types here are immutable and safe to share across threads.
+(k > 0) is the k-th generator and ``-k`` its inverse.  Every public
+constructor validates and normalizes, so two words are equal in the free
+group iff they compare equal as values; products and inverses, whose
+letters are reduced by construction, skip that work.  All types here are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ class Word:
         object.__setattr__(self, "letters", reduce_letters(lts))
 
     @classmethod
+    def _trusted(cls, rank: int, letters: tuple[int, ...]) -> "Word":
+        """A Word from a letter tuple that is already freely reduced and
+        inside the alphabet of a valid rank; nothing is checked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "rank", rank)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def identity(cls, rank: int) -> "Word":
         return cls(rank, ())
 
@@ -103,14 +114,14 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         self._check_rank(other)
-        return Word(self.rank, concat_reduced(self.letters, other.letters))
+        return Word._trusted(self.rank, concat_reduced(self.letters, other.letters))
 
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple(-x for x in reversed(self.letters)))
+        return Word._trusted(self.rank, tuple([-x for x in reversed(self.letters)]))
 
     def __pow__(self, k: int) -> "Word":
         base = self if k >= 0 else self.inverse()
-        out = Word(self.rank)
+        out = Word._trusted(self.rank, ())
         for _ in range(abs(k)):
             out = out * base
         return out

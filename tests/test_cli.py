@@ -145,3 +145,41 @@ def test_outputs_are_byte_deterministic(runner, tmp_path):
         second = invoke(runner, tmp_path, TORUS_TEXT, *args)
         assert first.output == second.output
         assert first.exit_code == second.exit_code == 0
+
+
+def assert_usage_error(res, message):
+    """Exit 2 through click's usage path: a message, no traceback."""
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output
+
+
+def test_reduce_identity_non_concise_presentation_is_usage_error(runner, tmp_path):
+    text = "rank 2\nrelator x1 x2 x1^-1 x2^-1\nrelator x1 x2 x1^-1 x2^-1\n"
+    res = invoke(runner, tmp_path, text, "reduce-identity", "t1^-1 t2")
+    assert_usage_error(res, "cannot be concise")
+
+
+def test_relators_negative_max_d_len_is_usage_error(runner, tmp_path):
+    res = invoke(runner, tmp_path, TORUS_TEXT, "relators", "--max-d-len", "-1")
+    assert_usage_error(res, "--max-d-len")
+
+
+def test_relators_trivial_relator_is_usage_error(runner, tmp_path):
+    res = invoke(runner, tmp_path, TORUS_TEXT + "relator x1 x1^-1\n", "relators")
+    assert_usage_error(res, "relator 2 is trivial")
+
+
+def test_embed_aut_rank_one_is_usage_error(runner, tmp_path):
+    res = invoke(runner, tmp_path, "rank 1\nrelator x1 x1\n", "embed-aut")
+    assert_usage_error(res, "rank >= 2")
+
+
+@pytest.mark.parametrize("args", [
+    ("membership", "(x1 , x1)", "--budget-steps", "-1"),
+    ("reduce-identity", "t1^-1 t1", "--budget-steps", "-1"),
+    ("reduce-identity", "t1^-1 t1", "--budget-insertions", "-1"),
+])
+def test_negative_budgets_are_usage_errors(runner, tmp_path, args):
+    res = invoke(runner, tmp_path, TORUS_TEXT, *args)
+    assert_usage_error(res, args[-2])

@@ -167,6 +167,16 @@ def test_decompose_recompose_round_trip():
     for _ in range(300):
         w = random_mixed(rng, 2, 2)
         assert recompose(decompose(w)) == w
+        # syllables skip validation; they must match a validated build
+        raw = [[]]
+        for x in w.letters:
+            if abs(x) <= 2:
+                raw[-1].append(x)
+            else:
+                raw.append([])
+        for u, lts in zip(decompose(w).d_syllables, raw, strict=True):
+            fresh = Word(2, tuple(lts))
+            assert u == fresh and hash(u) == hash(fresh)
     # and the other direction, on a form whose recomposition stays reduced
     s = SyllableForm(
         2, 1,

@@ -334,6 +334,7 @@ def test_insert_then_delete_recovers_word():
         data = InsertionData(p, 1, rng.choice((1, -1)), rng.choice((-2, -1, 1, 2)), alpha)
         res = insertion_tracked(P, w, data)
         assert in_pair_kernel(P, res.word)
+        assert_matches_validated(res.word)
         v = _prefix(P, w, p - 1) * Word(2, alpha.letters)
         expected = apply_expected(
             P, s,
@@ -354,6 +355,12 @@ def _prefix(P, w, count):
     return _prefix_conjugator(w, count)
 
 
+def assert_matches_validated(w):
+    """Transform outputs skip validation; they must match a validated build."""
+    fresh = MixedWord(w.n, w.m, w.letters)
+    assert w == fresh and hash(w) == hash(fresh)
+
+
 def test_coherence_random_all_moves():
     rng = random.Random(107)
     checked = 0
@@ -366,10 +373,12 @@ def test_coherence_random_all_moves():
             assert apply_expected(
                 P, s, lambda t: peiffer_exchange(t, p), res.forced_deletions
             ) == associated_identity(P, res.word)
+            assert_matches_validated(res.word)
             res = inverse_exchange_tracked(P, w, p)
             assert apply_expected(
                 P, s, lambda t: peiffer_inverse_exchange(t, p), res.forced_deletions
             ) == associated_identity(P, res.word)
+            assert_matches_validated(res.word)
             checked += 2
     assert checked >= 200
 
@@ -461,3 +470,52 @@ def test_step_in_relator_normal_closure():
     # no-op step: trivially inside
     verdict = step_in_relator_normal_closure(TORUS, w, w, max_d_len=0)
     assert verdict.outcome is Outcome.EQUAL
+
+
+def test_build_certificate_rejects_wrong_forced_deletions():
+    from mihailova.peiffer import _build_certificate
+
+    w = root_relator(TORUS, 1)
+    assert _build_certificate(TORUS, w, [(Move("delete", 1), ())]).words[-1].is_empty
+    with pytest.raises(InconsistencyError):
+        _build_certificate(TORUS, w, [(Move("delete", 1), (1,))])
+
+
+@pytest.mark.parametrize("max_moves", [2, 10_000])
+def test_search_checks_and_splits_each_popped_state_once(monkeypatch, max_moves):
+    import heapq
+    from types import SimpleNamespace
+
+    import mihailova.peiffer as peiffer
+
+    calls = {"pop": 0, "kernel": 0, "decompose": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(peiffer, "in_pair_kernel", counting("kernel", peiffer.in_pair_kernel))
+    monkeypatch.setattr(peiffer, "decompose", counting("decompose", peiffer.decompose))
+    monkeypatch.setattr(peiffer, "heapq", SimpleNamespace(
+        heappush=heapq.heappush, heappop=counting("pop", heapq.heappop)))
+    # certificate building re-checks its own steps; count only the search
+    at_build = []
+    build = peiffer._build_certificate
+
+    def recording_build(*args):
+        at_build.append(dict(calls))
+        return build(*args)
+
+    monkeypatch.setattr(peiffer, "_build_certificate", recording_build)
+    # a 60-letter torus word whose search pops three states
+    w = random_kernel_word(random.Random(116), TORUS, max_factors=3)
+    budget = ReductionBudget(max_moves=max_moves, max_insertions=1)
+    cert = reduce_to_empty(TORUS, w, budget)
+    assert (cert is None) == (max_moves == 2)
+    search = at_build[0] if at_build else calls
+    assert search["pop"] >= 2
+    # one kernel check of the input, then one check and one split per pop
+    assert search["kernel"] <= search["pop"] + 1
+    assert search["decompose"] <= search["pop"]

@@ -65,6 +65,13 @@ def test_group_axioms(aa, bb):
     assert multiply(invert(a), a).is_empty
     assert invert(invert(a)) == a
     assert invert(multiply(a, b)) == multiply(invert(b), invert(a))
+    # products and inverses skip validation; they must match a validated build
+    for built, raw in (
+        (multiply(a, b), tuple(aa) + tuple(bb)),
+        (invert(a), tuple(-x for x in reversed(aa))),
+    ):
+        fresh = Word(2, raw)
+        assert built == fresh and hash(built) == hash(fresh)
 
 
 @settings(max_examples=50)
