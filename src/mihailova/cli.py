@@ -174,8 +174,14 @@ def reduce_identity(presentation, word, budget_steps, budget_insertions,
     )
     try:
         cert = reduce_to_empty(P, w, budget)
-    except (ValueError, InconsistencyError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    except InconsistencyError as exc:
+        # the search's invariants hold on concise presentations; a failure
+        # on one is a fault in the program, not bad input
+        if is_concise(P):
+            raise
+        raise click.UsageError(f"presentation is not concise: {exc}") from exc
     if cert is None:
         click.echo("unknown")
         click.echo(

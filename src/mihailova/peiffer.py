@@ -194,6 +194,28 @@ def _require_kernel(P: Presentation, w: MixedWord):
         raise ValueError("word is not in the kernel of the pair homomorphism")
 
 
+# (P, w, d-syllables, t-slots) of the last word _kernel_parts checked
+_last_split = (None, None, (), ())
+
+
+def _kernel_parts(P: Presentation, w: MixedWord):
+    """Check that w is a kernel word of P; return its d-syllables and
+    t-slots as fresh lists, which the transforms splice in place.
+
+    The split of the last word checked is kept, so the candidate moves
+    tried at one search state share one kernel check and one
+    decomposition.  Words and presentations are immutable and the kept
+    split is matched by identity, so it never goes stale."""
+    global _last_split
+    last_P, last_w, syl, slots = _last_split
+    if last_w is not w or last_P is not P:
+        _require_kernel(P, w)
+        s = decompose(w)
+        syl, slots = s.d_syllables, s.t_letters
+        _last_split = (P, w, syl, slots)
+    return list(syl), list(slots)
+
+
 def associated_identity(P: Presentation, w: MixedWord) -> IdentitySequence:
     """Terms (cap(u_1..u_k), i_k, e_k) read off the syllable decomposition.
 
@@ -201,12 +223,11 @@ def associated_identity(P: Presentation, w: MixedWord) -> IdentitySequence:
     relator indices and signs; the kernel condition makes the result an
     identity.
     """
-    _require_kernel(P, w)
-    s = decompose(w)
+    syl, slots = _kernel_parts(P, w)
     terms = []
     prefix = Word(P.rank)
-    for k, (i, sign) in enumerate(s.t_letters):
-        prefix = prefix * s.d_syllables[k]
+    for k, (i, sign) in enumerate(slots):
+        prefix = prefix * syl[k]
         terms.append(IdentityTerm(prefix, i, sign))
     return IdentitySequence(P, tuple(terms))
 
@@ -294,11 +315,6 @@ def _assemble_tracked(n, m, syllables, slots) -> TransformResult:
     return TransformResult(word, tuple(forced))
 
 
-def _syllable_parts(w: MixedWord):
-    s = decompose(w)
-    return list(s.d_syllables), list(s.t_letters)
-
-
 def _check_slot_pair(t_count: int, p: int):
     if not 1 <= p <= t_count - 1:
         raise InapplicableMoveError(
@@ -307,9 +323,7 @@ def _check_slot_pair(t_count: int, p: int):
 
 
 # The private transforms below act on a kernel word w given its syllables
-# and t-slots (from _syllable_parts), which they splice in place; callers
-# that reuse one decomposition pass copies.  Kernel membership is the
-# caller's duty.
+# and t-slots as fresh lists from _kernel_parts, which they splice in place.
 
 
 def _exchange(P, w, syl, slots, p):
@@ -395,28 +409,16 @@ def _insert(P, w, syl, slots, data):
     return _assemble_tracked(w.n, w.m, syl, slots)
 
 
-# move kind -> private transform; the one dispatch for the search, the
-# certificate builder and the verifier
-_TRANSFORMS = {
-    "exchange": _exchange,
-    "inv-exchange": _inverse_exchange,
-    "delete": _delete,
-    "insert": _insert,
-}
-
-
 def exchange_tracked(P: Presentation, w: MixedWord, p: int) -> TransformResult:
     """Word-level exchange at p: swap the t-letters and rewrite the three
     surrounding syllables so the associated identity changes exactly by
     peiffer_exchange (then any forced deletions)."""
-    _require_kernel(P, w)
-    return _exchange(P, w, *_syllable_parts(w), p)
+    return _exchange(P, w, *_kernel_parts(P, w), p)
 
 
 def inverse_exchange_tracked(P: Presentation, w: MixedWord, p: int) -> TransformResult:
     """Word-level counterpart of peiffer_inverse_exchange at p."""
-    _require_kernel(P, w)
-    return _inverse_exchange(P, w, *_syllable_parts(w), p)
+    return _inverse_exchange(P, w, *_kernel_parts(P, w), p)
 
 
 def deletion_tracked(P: Presentation, w: MixedWord, p: int) -> TransformResult:
@@ -426,8 +428,7 @@ def deletion_tracked(P: Presentation, w: MixedWord, p: int) -> TransformResult:
     The cancelling pair forces i_p = i_{p+1}, opposite signs, and a middle
     syllable lying in the cyclic subgroup generated by the relator root;
     violations mean the presentation is not concise and are surfaced."""
-    _require_kernel(P, w)
-    return _delete(P, w, *_syllable_parts(w), p)
+    return _delete(P, w, *_kernel_parts(P, w), p)
 
 
 def insertion_tracked(
@@ -438,8 +439,7 @@ def insertion_tracked(
     The associated identity changes by peiffer_insert at p with conjugator
     cap(u_1..u_{p-1}) * cap(alpha); a deletion at the new position recovers
     a word freely equal to w."""
-    _require_kernel(P, w)
-    return _insert(P, w, *_syllable_parts(w), data)
+    return _insert(P, w, *_kernel_parts(P, w), data)
 
 
 def exchange_transform(P: Presentation, w: MixedWord, p: int) -> MixedWord:
@@ -462,7 +462,7 @@ def insertion_transform(P: Presentation, w: MixedWord, data: InsertionData) -> M
 # Reduction engine
 # ---------------------------------------------------------------------------
 
-_MOVE_KINDS = tuple(_TRANSFORMS)
+_MOVE_KINDS = ("exchange", "inv-exchange", "delete", "insert")
 
 
 @dataclass(frozen=True, slots=True)
@@ -531,13 +531,16 @@ def _prefix_conjugator(w: MixedWord, count: int) -> Word:
     return out
 
 
-def _apply_tracked(
-    P: Presentation, w: MixedWord, syl, slots, move: Move
-) -> TransformResult:
-    """Apply a move to the kernel word w split as (syl, slots) by
-    _syllable_parts; the lists are spliced in place."""
-    arg = move.position if move.data is None else move.data
-    return _TRANSFORMS[move.kind](P, w, syl, slots, arg)
+def _apply_tracked(P: Presentation, w: MixedWord, move: Move) -> TransformResult:
+    """Apply a move through its checked entry point; the one dispatch for
+    the search, the certificate builder and the verifier."""
+    if move.kind == "exchange":
+        return exchange_tracked(P, w, move.position)
+    if move.kind == "inv-exchange":
+        return inverse_exchange_tracked(P, w, move.position)
+    if move.kind == "delete":
+        return deletion_tracked(P, w, move.position)
+    return insertion_tracked(P, w, move.data)
 
 
 def _replay_identity(
@@ -596,8 +599,7 @@ def _build_certificate(P, start, edges):
     idents = [associated_identity(P, start)]
     cur = start
     for move, forced in edges:
-        _require_kernel(P, cur)
-        res = _apply_tracked(P, cur, *_syllable_parts(cur), move)
+        res = _apply_tracked(P, cur, move)
         if res.forced_deletions != forced:
             raise InconsistencyError(
                 f"{move.kind} {move.position} forces deletions "
@@ -628,7 +630,7 @@ def reduce_to_empty(
     """
     if budget is None:
         budget = ReductionBudget()
-    _require_kernel(P, w)
+    _kernel_parts(P, w)  # the first pop finds this split kept
     if w.is_empty:
         return _build_certificate(P, w, [])
 
@@ -672,9 +674,9 @@ def reduce_to_empty(
         if best_insertions.get(word.letters, ins_used) < ins_used:
             continue  # superseded by a cheaper route
 
-        # per-state work, shared by every candidate below
-        _require_kernel(P, word)
-        syl, slots = _syllable_parts(word)
+        # one kernel check and one split per state: the checked entry
+        # points the candidates go through find this split kept
+        syl, slots = _kernel_parts(P, word)
         if kind == "insertions":
             candidates = _insertion_moves(P, word, len(slots))
         else:
@@ -686,7 +688,7 @@ def reduce_to_empty(
                 )
 
         for move in candidates:
-            res = _apply_tracked(P, word, syl.copy(), slots.copy(), move)
+            res = _apply_tracked(P, word, move)
             child = res.word
             if len(child) > max_word_len:
                 continue
@@ -711,9 +713,9 @@ def verify_certificate(P: Presentation, cert: ReductionCertificate) -> bool:
         words, moves, idents = cert.words, cert.moves, cert.identities
         if not words or not words[-1].is_empty or idents[-1].terms:
             return False
-        for word in words:
-            if not in_pair_kernel(P, word):
-                return False
+        # kernel membership of the trail: each move's checked entry point
+        # checks the word it starts from, a forced deletion must repeat the
+        # word before it, and the last word is empty
         if idents[0] != associated_identity(P, words[0]):
             return False
         pending = []
@@ -728,8 +730,7 @@ def verify_certificate(P: Presentation, cert: ReductionCertificate) -> bool:
                     return False
                 pending.pop(0)
                 continue
-            # every trail word passed the kernel check above
-            res = _apply_tracked(P, prev_w, *_syllable_parts(prev_w), move)
+            res = _apply_tracked(P, prev_w, move)
             if words[k] != res.word:
                 return False
             if idents[k] != _replay_identity(P, prev_i, move, prev_w):

@@ -3,9 +3,10 @@
 import pytest
 from click.testing import CliRunner
 
+import mihailova.cli
 from mihailova.cli import main
 from mihailova.pairs import parse_mixed_word
-from mihailova.peiffer import parse_certificate
+from mihailova.peiffer import InconsistencyError, parse_certificate
 from mihailova.automorphisms import parse_endomorphism
 from mihailova.presentations import Presentation, parse_presentation
 from mihailova.words import Word
@@ -158,6 +159,16 @@ def test_reduce_identity_non_concise_presentation_is_usage_error(runner, tmp_pat
     text = "rank 2\nrelator x1 x2 x1^-1 x2^-1\nrelator x1 x2 x1^-1 x2^-1\n"
     res = invoke(runner, tmp_path, text, "reduce-identity", "t1^-1 t2")
     assert_usage_error(res, "cannot be concise")
+
+
+def test_reduce_identity_invariant_failure_is_not_usage_error(runner, tmp_path, monkeypatch):
+    def broken(*args):
+        raise InconsistencyError("forced deletions do not match the reduced word")
+
+    monkeypatch.setattr(mihailova.cli, "reduce_to_empty", broken)
+    res = invoke(runner, tmp_path, TORUS_TEXT, "reduce-identity", "t1^-1 t1")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, InconsistencyError)
 
 
 def test_relators_negative_max_d_len_is_usage_error(runner, tmp_path):

@@ -21,11 +21,9 @@ from mihailova.pairs import MixedWord, exchange_relator
 from mihailova.peiffer import (
     InsertionData,
     Move,
+    _apply_tracked,
     _build_certificate,
-    deletion_tracked,
-    exchange_tracked,
     format_certificate,
-    insertion_tracked,
     parse_certificate,
     verify_certificate,
 )
@@ -91,12 +89,7 @@ def test_insertion_certificate_text_is_pinned():
     )
     edges, cur = [], w
     for move in script:
-        if move.kind == "insert":
-            res = insertion_tracked(P, cur, move.data)
-        elif move.kind == "delete":
-            res = deletion_tracked(P, cur, move.position)
-        else:
-            res = exchange_tracked(P, cur, move.position)
+        res = _apply_tracked(P, cur, move)
         edges.append((move, res.forced_deletions))
         cur = res.word
     cert = _build_certificate(P, w, edges)

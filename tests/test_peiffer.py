@@ -519,3 +519,12 @@ def test_search_checks_and_splits_each_popped_state_once(monkeypatch, max_moves)
     # one kernel check of the input, then one check and one split per pop
     assert search["kernel"] <= search["pop"] + 1
     assert search["decompose"] <= search["pop"]
+
+
+def test_moves_other_than_insert_apply_by_position_even_with_data():
+    w = random_kernel_word(random.Random(116), TORUS, max_factors=3)
+    cert = reduce_to_empty(TORUS, w)
+    stray = InsertionData(1, 1, 1, 1, MixedWord(2, 1))
+    moves = tuple(Move(m.kind, m.position, stray, m.forced) for m in cert.moves)
+    assert all(m.kind != "insert" for m in moves)
+    assert verify_certificate(TORUS, ReductionCertificate(moves, cert.words, cert.identities))
