@@ -25,20 +25,6 @@ from .words import (
     qab_alphabet,
 )
 
-__all__ = [
-    "EmbeddingTable",
-    "Endomorphism3",
-    "compose",
-    "f2xf2_generators",
-    "fn_into_f2",
-    "format_endomorphism",
-    "orbit_undecidable_subgroup",
-    "pair_automorphism",
-    "parse_endomorphism",
-    "sandwich_automorphism",
-]
-
-
 def substitute(w: Word, images: tuple[Word, ...]) -> Word:
     """Replace letter k of w by images[k-1], inverting for negative letters."""
     if len(images) != w.rank:

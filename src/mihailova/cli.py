@@ -25,7 +25,6 @@ from .pairs import (
     relator_family,
 )
 from .peiffer import (
-    InconsistencyError,
     ReductionBudget,
     format_certificate,
     reduce_to_empty,
@@ -41,12 +40,7 @@ from .presentations import (
     is_concise,
     parse_presentation,
 )
-from .words import ParseError, invert, x_alphabet
-
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text"]), default="text",
-    show_default=True, help="Output format.",
-)
+from .words import ParseError, x_alphabet
 
 
 def _load(handle) -> Presentation:
@@ -63,8 +57,7 @@ def main() -> None:
 
 @main.command()
 @click.argument("presentation", type=click.File("r"))
-@format_option
-def check(presentation, fmt) -> None:
+def check(presentation) -> None:
     """Validate a presentation and print its concise refinement."""
     P = _load(presentation)
     concise = "yes" if is_concise(P) else "no"
@@ -83,8 +76,7 @@ def check(presentation, fmt) -> None:
               help="Conjugator length bound for the relator family.")
 @click.option("--verify", is_flag=True,
               help="Check every relator against the pair projection.")
-@format_option
-def relators(presentation, max_d_len, verify, fmt) -> None:
+def relators(presentation, max_d_len, verify) -> None:
     """Enumerate the subgroup's relator family, one word per line."""
     P = _load(presentation)
     try:
@@ -109,8 +101,7 @@ def relators(presentation, max_d_len, verify, fmt) -> None:
               help="Search step bound for the membership decision.")
 @click.option("--verify", is_flag=True,
               help="Re-multiply any certificate and compare exactly.")
-@format_option
-def membership(presentation, pair, budget_steps, verify, fmt) -> None:
+def membership(presentation, pair, budget_steps, verify) -> None:
     """Decide whether a pair of words lies in the pair subgroup."""
     P = _load(presentation)
     try:
@@ -127,7 +118,7 @@ def membership(presentation, pair, budget_steps, verify, fmt) -> None:
             )
         if verify:
             got = certificate_product(P, verdict.certificate)
-            if got != target.left * invert(target.right):
+            if got != target.left * target.right.inverse():
                 click.echo("# certificate verification failed")
                 sys.exit(1)
             click.echo("# certificate verified")
@@ -138,8 +129,7 @@ def membership(presentation, pair, budget_steps, verify, fmt) -> None:
 @main.command()
 @click.argument("presentation", type=click.File("r"))
 @click.argument("word")
-@format_option
-def pi(presentation, word, fmt) -> None:
+def pi(presentation, word) -> None:
     """Project a word in the d, t letters to its pair of components."""
     P = _load(presentation)
     try:
@@ -160,15 +150,22 @@ def pi(presentation, word, fmt) -> None:
               help="How many insertion moves the search may spend.")
 @click.option("--verify", is_flag=True,
               help="Replay the certificate before printing it.")
-@format_option
 def reduce_identity(presentation, word, budget_steps, budget_insertions,
-                    verify, fmt) -> None:
+                    verify) -> None:
     """Search for a move sequence taking a kernel word to the empty word."""
     P = _load(presentation)
     try:
         w = parse_mixed_word(word, P.rank, P.num_relators)
     except ParseError as exc:
         raise click.UsageError(str(exc)) from exc
+    # the search's invariants hold on concise presentations only; a failure
+    # on one is a fault in the program, not bad input, and is not caught
+    if not is_concise(P):
+        raise click.UsageError(
+            "a relator is trivial or conjugate to another relator or its"
+            " inverse, so the presentation cannot be concise; `check` prints"
+            " its concise refinement"
+        )
     budget = ReductionBudget(
         max_moves=budget_steps, max_insertions=budget_insertions
     )
@@ -176,12 +173,6 @@ def reduce_identity(presentation, word, budget_steps, budget_insertions,
         cert = reduce_to_empty(P, w, budget)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    except InconsistencyError as exc:
-        # the search's invariants hold on concise presentations; a failure
-        # on one is a fault in the program, not bad input
-        if is_concise(P):
-            raise
-        raise click.UsageError(f"presentation is not concise: {exc}") from exc
     if cert is None:
         click.echo("unknown")
         click.echo(
@@ -199,8 +190,7 @@ def reduce_identity(presentation, word, budget_steps, budget_insertions,
 
 @main.command("embed-aut")
 @click.argument("presentation", type=click.File("r"))
-@format_option
-def embed_aut(presentation, fmt) -> None:
+def embed_aut(presentation) -> None:
     """Print the automorphisms realizing the pair subgroup generators."""
     P = _load(presentation)
     try:

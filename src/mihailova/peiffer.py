@@ -1,16 +1,17 @@
 """Identities among relations and Peiffer transformations.
 
 An identity among relations for a presentation is a sequence of terms
-U · R_i^s · U^-1 whose product freely reduces to the empty word.  Three
-moves rewrite identities into identities: exchanging adjacent terms (in
-either direction), deleting an adjacent pair whose product is trivial,
-and inserting such a pair.
+U · R_i^s · U^-1 whose product freely reduces to the empty word; the terms
+are the ``IdentityTerm``s that membership certificates in ``presentations``
+are made of.  Three moves rewrite identities into identities: exchanging
+adjacent terms (in either direction), deleting an adjacent pair whose
+product is trivial, and inserting such a pair.
 
 Every kernel word of the pair homomorphism carries an associated identity
 read off its syllable decomposition, and each identity move has a word
 level counterpart acting on the mixed word through a small table of new
 d-syllables.  Rewriting the syllables can make t-letters cancel when the
-word is reduced; the tracked transform variants report the Peiffer
+word is reduced; the ``*_tracked`` transforms report the Peiffer
 deletions forced by that cancellation, so the identity bookkeeping stays
 aligned with the freely reduced words.
 
@@ -35,8 +36,11 @@ from .pairs import (
 )
 from .presentations import (
     ClosureBudget,
+    IdentityTerm,
+    InconsistencyError,
     Presentation,
     Verdict,
+    certificate_product,
     normal_closure_contains,
 )
 from .words import AlphabetError, ParseError, Word, letter_order, root
@@ -46,37 +50,9 @@ class InapplicableMoveError(ValueError):
     """The requested move does not apply at this position."""
 
 
-class InconsistencyError(RuntimeError):
-    """A structural assumption failed; usually the presentation is not
-    concise, so the deletion forcing argument does not hold."""
-
-
 # ---------------------------------------------------------------------------
 # Identities and the three moves
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class IdentityTerm:
-    """One factor U * R_i^sign * U^-1 of an identity."""
-
-    conjugator: Word
-    relator_index: int
-    sign: int
-
-    def __post_init__(self):
-        if not isinstance(self.conjugator, Word):
-            raise TypeError("conjugator must be a Word")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
-        if self.relator_index < 1:
-            raise IndexError(f"relator index {self.relator_index} out of range")
-
-    def value(self, P: Presentation) -> Word:
-        r = P.relator(self.relator_index)
-        if self.sign < 0:
-            r = r.inverse()
-        return self.conjugator * r * self.conjugator.inverse()
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,10 +78,7 @@ class IdentitySequence:
         return len(self.terms)
 
     def value_product(self) -> Word:
-        out = Word(self.presentation.rank)
-        for term in self.terms:
-            out = out * term.value(self.presentation)
-        return out
+        return certificate_product(self.presentation, self.terms)
 
 
 def is_identity(seq: IdentitySequence) -> bool:
@@ -440,22 +413,6 @@ def insertion_tracked(
     cap(u_1..u_{p-1}) * cap(alpha); a deletion at the new position recovers
     a word freely equal to w."""
     return _insert(P, w, *_kernel_parts(P, w), data)
-
-
-def exchange_transform(P: Presentation, w: MixedWord, p: int) -> MixedWord:
-    return exchange_tracked(P, w, p).word
-
-
-def inverse_exchange_transform(P: Presentation, w: MixedWord, p: int) -> MixedWord:
-    return inverse_exchange_tracked(P, w, p).word
-
-
-def deletion_transform(P: Presentation, w: MixedWord, p: int) -> MixedWord:
-    return deletion_tracked(P, w, p).word
-
-
-def insertion_transform(P: Presentation, w: MixedWord, data: InsertionData) -> MixedWord:
-    return insertion_tracked(P, w, data).word
 
 
 # ---------------------------------------------------------------------------

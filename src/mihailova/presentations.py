@@ -1,9 +1,12 @@
 """Finite presentations and a certified bounded word problem.
 
 ``normal_closure_contains`` is a semidecision procedure: a positive answer
-carries a factorization of the queried word into conjugated relators, a
-negative answer carries an exact abelianized obstruction, and everything
-else is Unknown.  Both kinds of evidence are independently checkable.
+carries a factorization of the queried word into conjugated relators
+U * R_i^sign * U^-1, given as ``IdentityTerm``s, a negative answer carries
+an exact abelianized obstruction, and everything else is Unknown.  Both
+kinds of evidence are independently checkable.  The same terms, read as a
+sequence multiplying to 1, are the identities among relations that the
+Peiffer moves rewrite.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .words import (
     abelianize,
     are_conjugate,
     concat_reduced,
-    invert,
     iter_reduced_tuples,
     x_alphabet,
 )
@@ -78,7 +80,7 @@ def is_concise(P: Presentation) -> bool:
     for i in range(len(rels)):
         for j in range(i + 1, len(rels)):
             if are_conjugate(rels[i], rels[j]) or are_conjugate(
-                rels[i], invert(rels[j])
+                rels[i], rels[j].inverse()
             ):
                 return False
     return True
@@ -95,7 +97,7 @@ def concise_refinement(P: Presentation) -> Presentation:
         if r.is_empty:
             continue
         if any(
-            are_conjugate(r, k) or are_conjugate(r, invert(k)) for k in kept
+            are_conjugate(r, k) or are_conjugate(r, k.inverse()) for k in kept
         ):
             continue
         kept.append(r)
@@ -110,7 +112,7 @@ def check_strengthened_conciseness(P: Presentation) -> list[str]:
     """
     warnings = []
     for i, r in enumerate(P.relators, start=1):
-        if not r.is_empty and are_conjugate(r, invert(r)):
+        if not r.is_empty and are_conjugate(r, r.inverse()):
             warnings.append(f"relator {i} is conjugate to its own inverse")
     return warnings
 
@@ -172,25 +174,40 @@ class Outcome(Enum):
     UNKNOWN = "unknown"
 
 
+class InconsistencyError(RuntimeError):
+    """A structural assumption or a certificate self-check failed; usually
+    the presentation is not concise, so the deletion forcing argument does
+    not hold."""
+
+
 @dataclass(frozen=True, slots=True)
-class CertificateFactor:
-    """One conjugated relator: conjugator * R_i^sign * conjugator^-1."""
+class IdentityTerm:
+    """One conjugated relator U * R_i^sign * U^-1: a factor of a membership
+    certificate, or a term of an identity among relations."""
 
     conjugator: Word
     relator_index: int
     sign: int
 
+    def __post_init__(self):
+        if not isinstance(self.conjugator, Word):
+            raise TypeError("conjugator must be a Word")
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +-1, got {self.sign}")
+        if self.relator_index < 1:
+            raise IndexError(f"relator index {self.relator_index} out of range")
+
     def value(self, P: Presentation) -> Word:
         r = P.relator(self.relator_index)
         if self.sign < 0:
-            r = invert(r)
-        return self.conjugator * r * invert(self.conjugator)
+            r = r.inverse()
+        return self.conjugator * r * self.conjugator.inverse()
 
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
     outcome: Outcome
-    certificate: tuple[CertificateFactor, ...] | None = None
+    certificate: tuple[IdentityTerm, ...] | None = None
     obstruction: tuple[int, ...] | None = None
 
     @property
@@ -206,7 +223,7 @@ class Verdict:
         return self.outcome is Outcome.UNKNOWN
 
 
-def certificate_product(P: Presentation, factors: Iterable[CertificateFactor]) -> Word:
+def certificate_product(P: Presentation, factors: Iterable[IdentityTerm]) -> Word:
     out = Word(P.rank)
     for f in factors:
         out = out * f.value(P)
@@ -241,7 +258,7 @@ def _conjugated_relator_moves(
         if r.is_empty:
             continue
         for sign in (1, -1):
-            rel = r.letters if sign > 0 else invert(r).letters
+            rel = r.letters if sign > 0 else r.inverse().letters
             for z in conjugators:
                 zinv = tuple(-x for x in reversed(z))
                 f = concat_reduced(concat_reduced(z, rel), zinv)
@@ -284,7 +301,7 @@ def normal_closure_contains(
     counter = 1
     steps = 0
 
-    def build_certificate(endpoint: tuple[int, ...]) -> tuple[CertificateFactor, ...]:
+    def build_certificate(endpoint: tuple[int, ...]) -> tuple[IdentityTerm, ...]:
         tags = []
         v = endpoint
         while v != start:
@@ -292,9 +309,10 @@ def normal_closure_contains(
             tags.append(tag)
         # w * f_1 * ... * f_k = 1, so w = f_k^-1 * ... * f_1^-1
         factors = tuple(
-            CertificateFactor(Word(P.rank, z), i, -sign) for i, sign, z in tags
+            IdentityTerm(Word(P.rank, z), i, -sign) for i, sign, z in tags
         )
-        assert certificate_product(P, factors) == w
+        if certificate_product(P, factors) != w:
+            raise InconsistencyError("certificate does not multiply out to the query")
         return factors
 
     while heap and steps < budget.max_steps:
@@ -330,7 +348,7 @@ def equal_in_group(
     """
     if oracle is not None:
         return oracle(w1, w2)
-    return normal_closure_contains(P, w1 * invert(w2), budget)
+    return normal_closure_contains(P, w1 * w2.inverse(), budget)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ immutable and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 
 class AlphabetError(ValueError):
@@ -20,20 +20,6 @@ class AlphabetError(ValueError):
 
 class ParseError(ValueError):
     """Malformed textual input."""
-
-
-class Letter(NamedTuple):
-    generator_index: int  # 1-based
-    sign: int  # +1 or -1
-
-    def as_int(self) -> int:
-        return self.generator_index * self.sign
-
-    @classmethod
-    def from_int(cls, letter: int) -> "Letter":
-        if letter == 0:
-            raise AlphabetError("letter 0 is not a generator")
-        return cls(abs(letter), 1 if letter > 0 else -1)
 
 
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
@@ -69,9 +55,7 @@ class Word:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise AlphabetError(f"rank must be positive, got {self.rank}")
-        lts = tuple(
-            x.as_int() if isinstance(x, Letter) else int(x) for x in self.letters
-        )
+        lts = tuple(map(int, self.letters))
         for x in lts:
             if x == 0 or abs(x) > self.rank:
                 raise AlphabetError(
@@ -131,19 +115,6 @@ class Word:
             f"x{abs(x)}" + ("" if x > 0 else "^-1") for x in self.letters
         )
         return f"Word({self.rank}: {body or '1'})"
-
-
-def reduce(letters: Iterable[int], rank: int) -> Word:
-    """Build the reduced word over the given rank from raw letters."""
-    return Word(rank, tuple(letters))
-
-
-def multiply(a: Word, b: Word) -> Word:
-    return a * b
-
-
-def invert(a: Word) -> Word:
-    return a.inverse()
 
 
 def conjugate(a: Word, by: Word) -> Word:
@@ -284,10 +255,6 @@ def dt_alphabet(n: int, m: int) -> Alphabet:
 
 def qab_alphabet() -> Alphabet:
     return Alphabet(("q", "a", "b"))
-
-
-def ab_alphabet() -> Alphabet:
-    return Alphabet(("a", "b"))
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,11 @@ def test_reduce_identity_non_concise_presentation_is_usage_error(runner, tmp_pat
     assert_usage_error(res, "cannot be concise")
 
 
+def test_reduce_identity_trivial_relator_is_usage_error(runner, tmp_path):
+    res = invoke(runner, tmp_path, "rank 2\nrelator x1 x1^-1\n", "reduce-identity", "t1")
+    assert_usage_error(res, "cannot be concise")
+
+
 def test_reduce_identity_invariant_failure_is_not_usage_error(runner, tmp_path, monkeypatch):
     def broken(*args):
         raise InconsistencyError("forced deletions do not match the reduced word")

@@ -1,9 +1,12 @@
-"""`reduce-identity --verify` output pinned byte for byte.
+"""Command-line output pinned byte for byte.
 
-Each file under ``golden/`` is the exact output of one run, recorded from an
-earlier version of the search.  A change in the order the search tries its
-moves, in the certificates it builds or in their text form shows up here as
-a diff, even when the new certificate would still verify.
+Each file under ``golden/`` is the exact output of one run of a command on
+the torus, trefoil or rank-3 presentation, recorded from an earlier version
+of the package: `check`, `relators --verify`, `membership --verify` with an
+equal, a not-equal and an unknown answer, `pi`, `embed-aut` and
+`reduce-identity --verify`.  A change in the order a search tries its moves,
+in the certificates it builds or in their text form shows up here as a
+diff, even when the new certificate would still verify.
 
 The search reaches every kernel word of these presentations tried so far by
 exchanges and deletions alone, so no search run yields an insertion; the
@@ -40,41 +43,78 @@ PRESENTATIONS = {
     ),
 }
 
-# (golden file stem, presentation, kernel word, extra options)
+TORUS_TWISTED = "(x1 x1 x2 x2 , x2 x2 x1 x1)"
+
+# (golden file stem, presentation, command and its arguments after the
+# presentation file)
 CASES = (
     ("torus-exchange-relator", "torus",
-     "t1^-1 d2 d1 d2^-1 d1^-1 t1 d1 d2 d1^-1 d2^-1", ()),
+     ("reduce-identity",
+      "t1^-1 d2 d1 d2^-1 d1^-1 t1 d1 d2 d1^-1 d2^-1", "--verify")),
     ("torus-forced-deletions", "torus",
-     "d2 d1^-1 d2^-1 t1^-1 d2 d1 d2^-1 d1^-1 t1 d1 t1 d1 d2^-1 t1^-1 d2 d1"
-     " d2^-1 d1^-1 t1 d1 d2 d1^-1 d1^-1 d2^-1 d1^-1 t1^-1 d2 d1 d2^-1 d1^-1"
-     " t1 d1 d2 d1^-1 d2^-1 d1 d2 t1^-1 t1^-1 d1 d2^-1 d1^-1 t1 d1 d2 d1^-1"
-     " d2^-1 t1^-1 d2 t1",
-     ("--budget-steps", "10000", "--budget-insertions", "2")),
+     ("reduce-identity",
+      "d2 d1^-1 d2^-1 t1^-1 d2 d1 d2^-1 d1^-1 t1 d1 t1 d1 d2^-1 t1^-1 d2 d1"
+      " d2^-1 d1^-1 t1 d1 d2 d1^-1 d1^-1 d2^-1 d1^-1 t1^-1 d2 d1 d2^-1 d1^-1"
+      " t1 d1 d2 d1^-1 d2^-1 d1 d2 t1^-1 t1^-1 d1 d2^-1 d1^-1 t1 d1 d2 d1^-1"
+      " d2^-1 t1^-1 d2 t1",
+      "--verify", "--budget-steps", "10000", "--budget-insertions", "2")),
     ("trefoil-forced-deletions", "trefoil",
-     "d1 d2^-1 t1^-1 t1^-1 d2 d2 d2 d1^-1 d1^-1 t1 d1 d1 d2^-1 d2^-1 d2^-1"
-     " t1 d2 d1^-1 d2 d2 t1^-1 t1^-1 d2 d2 d2 d1^-1 d1^-1 t1 d1 d1 d2^-1"
-     " d2^-1 d2^-1 t1 d2^-1 d2^-1 d1 d1 d1 t1^-1 d2 d2 d2 d1^-1 d1^-1 t1 d1"
-     " d1 d2^-1 d2^-1 d2^-1 d1^-1 d1^-1 d1^-1 d2 t1 d1 t1^-1 d2 d2 d2 d1^-1"
-     " d1^-1 t1 d1 d1 d2^-1 d2^-1 d2^-1 d1^-1 t1^-1 d2^-1",
-     ("--budget-steps", "10000", "--budget-insertions", "2")),
+     ("reduce-identity",
+      "d1 d2^-1 t1^-1 t1^-1 d2 d2 d2 d1^-1 d1^-1 t1 d1 d1 d2^-1 d2^-1 d2^-1"
+      " t1 d2 d1^-1 d2 d2 t1^-1 t1^-1 d2 d2 d2 d1^-1 d1^-1 t1 d1 d1 d2^-1"
+      " d2^-1 d2^-1 t1 d2^-1 d2^-1 d1 d1 d1 t1^-1 d2 d2 d2 d1^-1 d1^-1 t1 d1"
+      " d1 d2^-1 d2^-1 d2^-1 d1^-1 d1^-1 d1^-1 d2 t1 d1 t1^-1 d2 d2 d2 d1^-1"
+      " d1^-1 t1 d1 d1 d2^-1 d2^-1 d2^-1 d1^-1 t1^-1 d2^-1",
+      "--verify", "--budget-steps", "10000", "--budget-insertions", "2")),
     ("rank3-forced-deletions", "rank3",
-     "d2^-1 d3^-1 t2^-1 t3^-1 d1^-1 d2 d1 d2^-1 d1^-1 t1 d1 t3 d1^-1 t1^-1"
-     " d1 d2 d1^-1 d2^-1 d1 t2 d3 d2 d1 d3^-1 t3^-1 t1^-1 d3 d3 d2 d3^-1"
-     " d2^-1 t3 d3^-1 t1 d3 t3^-1 d2 d3 d2^-1 d3^-1 d3^-1 t3 d3 d1^-1 d1^-1"
-     " d3 d2 t1^-1 d2 d1 d2^-1 d1^-1 t1 d1 d2 d1^-1 d2^-1 d2^-1 d3^-1 d1"
-     " d3^-1 t1^-1 d3^-1 t3^-1 d3 d2 d3^-1 d2^-1 t3 d2 d3 d2^-1 t1 d3",
-     ("--budget-steps", "10000", "--budget-insertions", "2")),
+     ("reduce-identity",
+      "d2^-1 d3^-1 t2^-1 t3^-1 d1^-1 d2 d1 d2^-1 d1^-1 t1 d1 t3 d1^-1 t1^-1"
+      " d1 d2 d1^-1 d2^-1 d1 t2 d3 d2 d1 d3^-1 t3^-1 t1^-1 d3 d3 d2 d3^-1"
+      " d2^-1 t3 d3^-1 t1 d3 t3^-1 d2 d3 d2^-1 d3^-1 d3^-1 t3 d3 d1^-1 d1^-1"
+      " d3 d2 t1^-1 d2 d1 d2^-1 d1^-1 t1 d1 d2 d1^-1 d2^-1 d2^-1 d3^-1 d1"
+      " d3^-1 t1^-1 d3^-1 t3^-1 d3 d2 d3^-1 d2^-1 t3 d2 d3 d2^-1 t1 d3",
+      "--verify", "--budget-steps", "10000", "--budget-insertions", "2")),
+    ("torus-membership-equal", "torus",
+     ("membership", "(x1 x2 , x2 x1)", "--verify")),
+    ("torus-membership-equal-four-factors", "torus",
+     ("membership", TORUS_TWISTED, "--verify", "--budget-steps", "5")),
+    ("torus-membership-unknown", "torus",
+     ("membership", TORUS_TWISTED, "--verify", "--budget-steps", "1")),
+    ("torus-membership-not-equal", "torus",
+     ("membership", "(x1 , x2)", "--verify")),
+    ("trefoil-membership-equal", "trefoil",
+     ("membership", "(x1 x1 x2 , x2 x1 x1)", "--verify")),
+    ("trefoil-membership-unknown", "trefoil",
+     ("membership", "(x1 x1 x2 , x2 x1 x1)", "--verify", "--budget-steps", "0")),
+    ("trefoil-membership-not-equal", "trefoil",
+     ("membership", "(x1 , x2)", "--verify")),
+    ("rank3-membership-equal", "rank3",
+     ("membership", "(x1 x3 , x3 x1)", "--verify")),
+    ("rank3-membership-unknown", "rank3",
+     ("membership", TORUS_TWISTED, "--verify", "--budget-steps", "1")),
+    ("rank3-membership-not-equal", "rank3",
+     ("membership", "(x1 , x2)", "--verify")),
+    ("torus-pi", "torus", ("pi", "d1 t1 d2^-1 t1^-1")),
+    ("trefoil-pi", "trefoil", ("pi", "d1 t1 d2^-1 t1^-1")),
+    ("rank3-pi", "rank3", ("pi", "d1 t2 d3^-1 t3^-1")),
+) + tuple(
+    (f"{name}-{stem}", name, argv)
+    for name in PRESENTATIONS
+    for stem, argv in (
+        ("check", ("check",)),
+        ("relators", ("relators", "--max-d-len", "2", "--verify")),
+        ("embed-aut", ("embed-aut",)),
+    )
 )
 
 
-@pytest.mark.parametrize("stem, presentation, word, options", CASES,
+@pytest.mark.parametrize("stem, presentation, argv", CASES,
                          ids=[case[0] for case in CASES])
-def test_reduce_identity_output_is_pinned(tmp_path, stem, presentation, word, options):
+def test_reduce_identity_output_is_pinned(tmp_path, stem, presentation, argv):
     path = tmp_path / f"{presentation}.txt"
     path.write_text(PRESENTATIONS[presentation])
-    res = CliRunner().invoke(
-        main, ["reduce-identity", str(path), word, "--verify", *options]
-    )
+    command, *args = argv
+    res = CliRunner().invoke(main, [command, str(path), *args])
     assert res.exit_code == 0
     assert res.output == (GOLDEN / f"{stem}.txt").read_text()
 

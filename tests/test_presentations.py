@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import mihailova.presentations
 from mihailova.presentations import (
     ClosureBudget,
+    InconsistencyError,
     Outcome,
     Presentation,
     certificate_product,
@@ -19,7 +21,7 @@ from mihailova.presentations import (
     normal_closure_contains,
     parse_presentation,
 )
-from mihailova.words import ParseError, Word, abelianize, conjugate, invert
+from mihailova.words import ParseError, Word, abelianize, conjugate
 
 TORUS = Presentation(2, (Word(2, (1, 2, -1, -2)),))
 TREFOIL = Presentation(2, (Word(2, (1, 1, -2, -2, -2)),))
@@ -42,7 +44,7 @@ def test_is_concise_examples():
     assert not is_concise(Presentation(2, (r, conjugate(r, Word(2, (2,))))))
     assert not is_concise(Presentation(2, (r, Word(2))))
     # inverse-conjugate duplicate also counts
-    assert not is_concise(Presentation(2, (r, conjugate(invert(r), Word(2, (1,))))))
+    assert not is_concise(Presentation(2, (r, conjugate(r.inverse(), Word(2, (1,))))))
 
 
 def test_concise_refinement_examples():
@@ -126,10 +128,21 @@ def test_normal_closure_examples():
     assert v.outcome is Outcome.NOT_EQUAL
     assert v.obstruction == (1, 0)
 
-    w = conjugate(r, Word(2, (2,))) * invert(r)
+    w = conjugate(r, Word(2, (2,))) * r.inverse()
     v = normal_closure_contains(TORUS, w)
     assert v.outcome is Outcome.EQUAL
     assert certificate_product(TORUS, v.certificate) == w
+
+
+def test_wrong_certificate_product_raises_even_under_O(monkeypatch):
+    # the self-check is an explicit raise, so `python -O` keeps it
+    r = TORUS.relator(1)
+    monkeypatch.setattr(
+        mihailova.presentations, "certificate_product",
+        lambda P, factors: Word(P.rank, (1,)),
+    )
+    with pytest.raises(InconsistencyError):
+        normal_closure_contains(TORUS, r)
 
 
 def test_normal_closure_unknown_on_tiny_budget():
@@ -186,7 +199,7 @@ def test_torus_agrees_with_abelianization_oracle_on_ball():
     cache: dict[tuple, Outcome] = {}
     for w1 in ball:
         for w2 in ball:
-            diff = w1 * invert(w2)
+            diff = w1 * w2.inverse()
             expected_equal = abelianize(diff) == (0, 0)
             got = cache.get(diff.letters)
             if got is None:
@@ -214,7 +227,7 @@ def test_trefoil_membership():
 
 def test_certificates_respect_conjugator_budget():
     r = TORUS.relator(1)
-    w = conjugate(r, Word(2, (2, 2))) * invert(r)
+    w = conjugate(r, Word(2, (2, 2))) * r.inverse()
     budget = ClosureBudget(max_steps=5000, max_conjugator_len=3)
     v = normal_closure_contains(TORUS, w, budget)
     assert v.outcome is Outcome.EQUAL
