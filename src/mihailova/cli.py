@@ -98,7 +98,7 @@ def relators(presentation, max_d_len, verify) -> None:
 @click.argument("pair")
 @click.option("--budget-steps", default=10_000, show_default=True,
               type=click.IntRange(min=0),
-              help="Search step bound for the membership decision.")
+              help="Words the closure search may pop before it answers unknown.")
 @click.option("--verify", is_flag=True,
               help="Re-multiply any certificate and compare exactly.")
 def membership(presentation, pair, budget_steps, verify) -> None:

@@ -7,6 +7,15 @@ an exact abelianized obstruction, and everything else is Unknown.  Both
 kinds of evidence are independently checkable.  The same terms, read as a
 sequence multiplying to 1, are the identities among relations that the
 Peiffer moves rewrite.
+
+The search rewrites the word toward the empty word by Dehn's step: a subword
+that matches a prefix of a cyclic permutation of a relator or its inverse is
+replaced by the inverse of the rest of that permutation.  Each rewrite
+splits off one conjugated relator, on the left or on the right of the
+rewritten word, whichever needs the shorter conjugator; rewrites whose
+conjugator exceeds the budget are not made.  Only the relators that match
+the word are tried, so each state has at most one child per position and
+cyclic permutation, and the visited set is bounded by the step budget.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from .words import (
     abelianize,
     are_conjugate,
     concat_reduced,
-    iter_reduced_tuples,
+    cyclic_reduce,
     x_alphabet,
 )
 
@@ -234,6 +243,8 @@ def certificate_product(P: Presentation, factors: Iterable[IdentityTerm]) -> Wor
 class ClosureBudget:
     """Bounds for the normal-closure search.
 
+    max_steps bounds the words the search pops, max_conjugator_len the
+    conjugators in its certificate, and max_word_len the words it keeps;
     max_word_len None means automatic: twice the query length plus slack.
     """
 
@@ -242,28 +253,45 @@ class ClosureBudget:
     max_word_len: int | None = None
 
 
-# deterministic safety cap on the frontier; not part of the public budget
-_FRONTIER_CAP = 200_000
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([-x for x in reversed(letters)])
 
 
-def _conjugated_relator_moves(
-    P: Presentation, max_conjugator_len: int
-) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-    """All (relator index, sign, conjugator, factor letters), in the pinned
-    expansion order: relator index, then sign (+1 first), then conjugator in
-    length-lex order."""
-    moves = []
-    conjugators = list(iter_reduced_tuples(P.rank, max_conjugator_len))
+def _reduced_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Length of the reduced product of two reduced letter tuples."""
+    k = 0
+    n = min(len(a), len(b))
+    while k < n and a[-1 - k] == -b[k]:
+        k += 1
+    return len(a) + len(b) - 2 * k
+
+
+def _cyclic_relators(
+    P: Presentation,
+) -> dict[int, list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]]:
+    """The distinct cyclic permutations c = p^-1 R_i^sign p of every relator
+    and its inverse, indexed by first letter: letter -> [(c, i, sign, p^-1)].
+
+    p is the shorter of the two rotations that give c.  A tuple c reached
+    twice keeps its first (i, sign, p), in the order relator index, sign +1
+    first, rotation offset.
+    """
+    index: dict[int, list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]] = {}
+    seen = set()
     for i, r in enumerate(P.relators, start=1):
-        if r.is_empty:
-            continue
-        for sign in (1, -1):
-            rel = r.letters if sign > 0 else r.inverse().letters
-            for z in conjugators:
-                zinv = tuple(-x for x in reversed(z))
-                f = concat_reduced(concat_reduced(z, rel), zinv)
-                moves.append((i, sign, z, f))
-    return moves
+        # R^sign = u core^sign u^-1 and c = q^-1 core^sign q, so p = u q; both
+        # q = core^sign[:k] and q = core^sign[k:]^-1 rotate by k, and the
+        # shorter one keeps the certificate's conjugators short
+        core, u = cyclic_reduce(r)
+        u_inv = u.inverse().letters
+        for sign, lts in ((1, core.letters), (-1, core.inverse().letters)):
+            for k in range(len(lts)):
+                c = lts[k:] + lts[:k]
+                if c not in seen:
+                    seen.add(c)
+                    q_inv = _inverse(lts[:k]) if 2 * k <= len(lts) else lts[k:]
+                    index.setdefault(c[0], []).append((c, i, sign, q_inv + u_inv))
+    return index
 
 
 def normal_closure_contains(
@@ -275,10 +303,26 @@ def normal_closure_contains(
     NOT_EQUAL means abelianize(w) lies outside the integer span of the
     relator abelianizations (exact).  Everything else is UNKNOWN.
 
-    The search right-multiplies by conjugated relators with bounded
-    conjugator length, canonicalizes states by their reduced word, and pops
-    the frontier shortest-word-first with FIFO tie-breaking, so the verdict
-    and certificate are deterministic for a fixed budget.
+    The search rewrites subwords (Dehn's step; Lyndon-Schupp, Combinatorial
+    Group Theory, Ch. V).  Let c = s t run over the distinct cyclic
+    permutations p^-1 R_i^sign p of the relators and their inverses.  Where
+    a popped word v = a s b matches the longest prefix s of c that it can,
+    the child is a t^-1 b, freely reduced; a shorter matching prefix, or a
+    match that extends further left, gives the same child and the same
+    factor.  The rewrite splits off one factor z R_i^sign z^-1, either as
+    v = factor * child with z = a p^-1, or as v = child * factor with
+    z = b^-1 t p^-1 or z = b^-1 s^-1 p^-1.  The shortest z of the three is
+    taken, in that order on a tie, and a rewrite whose shortest z is longer
+    than ``max_conjugator_len`` is not made.  The certificate is the left
+    factors in step order, then the right factors in reverse step order.
+
+    States are reduced words no longer than ``max_word_len``.  The frontier
+    pops the shortest word first, breaking ties first in first out, and
+    ``max_steps`` bounds the pops, so the verdict and certificate are
+    deterministic for a fixed budget.  A pop adds at most one child per
+    position and cyclic permutation, so the visited set holds at most
+    1 + max_steps * L * K words, L the longest popped word and K the largest
+    number of cyclic permutations that begin with one letter.
     """
     if budget is None:
         budget = ClosureBudget()
@@ -292,25 +336,26 @@ def normal_closure_contains(
     max_word_len = budget.max_word_len
     if max_word_len is None:
         max_word_len = max(16, 2 * len(w) + 4)
-    moves = _conjugated_relator_moves(P, budget.max_conjugator_len)
+    max_conj = budget.max_conjugator_len
+    rewrites = _cyclic_relators(P)
 
     start = w.letters
+    # child -> (parent, factor on the left?, z without its p^-1, p^-1, i, sign);
+    # also the visited set
+    parent: dict[tuple[int, ...], tuple | None] = {start: None}
     heap: list[tuple[int, int, tuple[int, ...]]] = [(len(start), 0, start)]
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, int, tuple[int, ...]]]] = {}
-    seen = {start}
     counter = 1
     steps = 0
 
     def build_certificate(endpoint: tuple[int, ...]) -> tuple[IdentityTerm, ...]:
-        tags = []
+        left: list[IdentityTerm] = []
+        right: list[IdentityTerm] = []
         v = endpoint
-        while v != start:
-            v, tag = parent[v]
-            tags.append(tag)
-        # w * f_1 * ... * f_k = 1, so w = f_k^-1 * ... * f_1^-1
-        factors = tuple(
-            IdentityTerm(Word(P.rank, z), i, -sign) for i, sign, z in tags
-        )
+        while parent[v] is not None:
+            v, on_left, z, p_inv, i, sign = parent[v]
+            conj = Word._trusted(P.rank, z) * Word._trusted(P.rank, p_inv)
+            (left if on_left else right).append(IdentityTerm(conj, i, sign))
+        factors = tuple(reversed(left)) + tuple(right)
         if certificate_product(P, factors) != w:
             raise InconsistencyError("certificate does not multiply out to the query")
         return factors
@@ -318,19 +363,35 @@ def normal_closure_contains(
     while heap and steps < budget.max_steps:
         _, _, v = heapq.heappop(heap)
         steps += 1
-        for i, sign, z, f in moves:
-            child = concat_reduced(v, f)
-            if len(child) > max_word_len or child in seen:
-                continue
-            seen.add(child)
-            parent[child] = (v, (i, sign, z))
-            if not child:
-                return Verdict(Outcome.EQUAL, certificate=build_certificate(child))
-            heapq.heappush(heap, (len(child), counter, child))
-            counter += 1
-        if len(heap) > _FRONTIER_CAP:
-            heap = heapq.nsmallest(_FRONTIER_CAP, heap)
-            heapq.heapify(heap)
+        n = len(v)
+        for j in range(n):
+            for c, i, sign, p_inv in rewrites.get(v[j], ()):
+                if j and v[j - 1] == c[-1]:
+                    continue  # the match extends to the left: found at j - 1
+                m = 1
+                while m < len(c) and j + m < n and v[j + m] == c[m]:
+                    m += 1
+                # v = a s b with |a| = j, s = c[:m], t = c[m:]; no z below
+                # is shorter than this, so skip before slicing
+                if min(j, n - j - m) - len(p_inv) > max_conj:
+                    continue
+                a, b_inv = v[:j], _inverse(v[j + m:])
+                # b^-1 t is reduced because the match is longest, and
+                # b^-1 s^-1 = (v[j:])^-1
+                zs = (a, b_inv + c[m:], _inverse(v[j:]))
+                z_lens = [_reduced_len(z, p_inv) for z in zs]
+                best = z_lens.index(min(z_lens))
+                if z_lens[best] > max_conj:
+                    continue
+                on_left, z = best == 0, zs[best]
+                child = concat_reduced(a, _inverse(c[m:]) + v[j + m:])
+                if len(child) > max_word_len or child in parent:
+                    continue
+                parent[child] = (v, on_left, z, p_inv, i, sign)
+                if not child:
+                    return Verdict(Outcome.EQUAL, certificate=build_certificate(child))
+                heapq.heappush(heap, (len(child), counter, child))
+                counter += 1
     return Verdict(Outcome.UNKNOWN)
 
 

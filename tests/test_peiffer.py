@@ -463,11 +463,13 @@ def test_insert_certificates_replay():
 def test_step_in_relator_normal_closure():
     w = root_relator(TORUS, 1)
     res = deletion_tracked(TORUS, w, 1)
-    verdict = step_in_relator_normal_closure(TORUS, w, res.word, max_d_len=0)
-    assert verdict.outcome is Outcome.EQUAL
-    # no-op step: trivially inside
-    verdict = step_in_relator_normal_closure(TORUS, w, w, max_d_len=0)
-    assert verdict.outcome is Outcome.EQUAL
+    # the family has 2, 6 and 18 relators at these lengths
+    for max_d_len in (0, 1, 2):
+        verdict = step_in_relator_normal_closure(TORUS, w, res.word, max_d_len=max_d_len)
+        assert verdict.outcome is Outcome.EQUAL
+        # no-op step: trivially inside
+        verdict = step_in_relator_normal_closure(TORUS, w, w, max_d_len=max_d_len)
+        assert verdict.outcome is Outcome.EQUAL
 
 
 def test_build_certificate_rejects_wrong_forced_deletions():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mihailova.presentations
 from mihailova.presentations import (
@@ -25,6 +27,10 @@ from mihailova.words import ParseError, Word, abelianize, conjugate
 
 TORUS = Presentation(2, (Word(2, (1, 2, -1, -2)),))
 TREFOIL = Presentation(2, (Word(2, (1, 1, -2, -2, -2)),))
+Z4Z4 = Presentation(2, (Word(2, (1, 1, 1, 1)), Word(2, (2, 2, 2, 2))))
+RANK3 = Presentation(
+    3, (Word(3, (1, 2, -1, -2)), Word(3, (1, 3, -1, -3)), Word(3, (2, 3, -2, -3)))
+)
 
 
 def test_presentation_validation():
@@ -235,6 +241,70 @@ def test_certificates_respect_conjugator_budget():
         assert len(f.conjugator) <= budget.max_conjugator_len
         assert 1 <= f.relator_index <= TORUS.num_relators
         assert f.sign in (1, -1)
+
+
+def test_closure_search_builds_children_only_from_matching_relators(monkeypatch):
+    # the bound is a tenth of what multiplying each popped word by every
+    # z R^+-1 z^-1 with |z| <= 4 builds here: 5,622 per pop, 224,880 in all
+    calls = 0
+    concat = mihailova.presentations.concat_reduced
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return concat(a, b)
+
+    monkeypatch.setattr(mihailova.presentations, "concat_reduced", counting)
+    w = Word(3, (1,) * 4 + (2,) * 4 + (-1,) * 4 + (-2,) * 4)
+    v = normal_closure_contains(RANK3, w, ClosureBudget(max_steps=38))
+    assert v.outcome is Outcome.UNKNOWN
+    assert calls < 22_488
+
+
+def test_closure_search_with_relators_not_cyclically_reduced():
+    # the relator x2 [x1, x2] x2^-1 is reduced but not cyclically reduced,
+    # so every rotation's p carries the outer x2
+    P = Presentation(2, (Word(2, (2, 1, 2, -1, -2, -2)),))
+    r = TORUS.relator(1)
+    for w in (r, conjugate(r.inverse(), Word(2, (1, 1))), r * conjugate(r, Word(2, (2, 2)))):
+        v = normal_closure_contains(P, w, ClosureBudget(max_conjugator_len=3))
+        assert v.outcome is Outcome.EQUAL
+        assert certificate_product(P, v.certificate) == w
+        assert all(len(f.conjugator) <= 3 for f in v.certificate)
+
+
+@st.composite
+def conjugated_relator_products(draw, max_terms):
+    """(presentation, conjugator bound L, product of 1..max_terms terms
+    z R^+-1 z^-1 with |z| <= L)."""
+    P = draw(st.sampled_from((TORUS, TREFOIL, Z4Z4, RANK3)))
+    bound = draw(st.integers(1, 4))
+    letter = st.integers(-P.rank, P.rank).filter(bool)
+    w = Word(P.rank)
+    for _ in range(draw(st.integers(1, max_terms))):
+        z = Word(P.rank, tuple(draw(st.lists(letter, max_size=bound))))
+        r = P.relator(draw(st.integers(1, P.num_relators))) ** draw(st.sampled_from((1, -1)))
+        w = w * z * r * z.inverse()
+    return P, bound, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(conjugated_relator_products(max_terms=3))
+def test_closure_certificates_multiply_out_within_conjugator_bound(case):
+    P, bound, w = case
+    v = normal_closure_contains(P, w, ClosureBudget(max_conjugator_len=bound))
+    assert v.outcome is not Outcome.NOT_EQUAL
+    if v.is_equal:
+        assert certificate_product(P, v.certificate) == w
+        assert all(len(f.conjugator) <= bound for f in v.certificate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(conjugated_relator_products(max_terms=1))
+def test_single_conjugated_relator_is_found(case):
+    P, bound, w = case
+    v = normal_closure_contains(P, w, ClosureBudget(max_conjugator_len=bound))
+    assert v.outcome is Outcome.EQUAL
 
 
 def test_presentation_file_round_trip():
