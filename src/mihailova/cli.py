@@ -43,6 +43,9 @@ from .presentations import (
 from .words import ParseError, x_alphabet
 
 
+_ECHO_LINES = 256
+
+
 def _load(handle) -> Presentation:
     try:
         return parse_presentation(handle.read())
@@ -83,8 +86,11 @@ def relators(presentation, max_d_len, verify) -> None:
         family = relator_family(P, max_d_len)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    for w in family:
-        click.echo(format_mixed_word(w))
+    # a few hundred lines per write: one write per line is slow, and one
+    # write of the whole family holds all its text at once
+    for start in range(0, len(family), _ECHO_LINES):
+        chunk = family[start:start + _ECHO_LINES]
+        click.echo("\n".join([format_mixed_word(w) for w in chunk]))
     if verify:
         for k, w in enumerate(family, start=1):
             if not in_pair_kernel(P, w):

@@ -23,6 +23,7 @@ from .words import (
     ParseError,
     Word,
     commutator,
+    concat_reduced,
     dt_alphabet,
     iter_reduced_tuples,
     reduce_letters,
@@ -313,21 +314,48 @@ def relator_family(P: Presentation, max_d_len: int) -> list:
 
     Ordered by (i, j, d) with d in length-lex order; duplicates arising
     after reduction are kept, the family is indexed by its parameters.
+
+    Members are built on letter tuples, with the same letters as
+    ``exchange_relator`` and ``root_relator``.  The inner word
+    b = d^-1 t_i^-1 r_i d is formed once per (i, d) and shared by every j;
+    t_i^-1 cannot cancel against d-letters, so one reduced concatenation
+    with d reduces it.  [t_j, b] = t_j^-1 b^-1 t_j b is reduced at its
+    three junctions, where t_j cancels when i == j and r_i d is trivial or
+    d is empty.  The root relator t_i^-1 rho^-1 t_i rho needs no reduction.
     """
     if max_d_len < 0:
         raise ValueError("max_d_len must be >= 0")
     n, m = P.rank, P.num_relators
-    d_values = [
-        MixedWord(n, m, lts) for lts in iter_reduced_tuples(n, max_d_len)
-    ]
+    for i in range(1, m + 1):
+        if P.relator(i).is_empty:
+            raise ValueError(f"relator {i} is trivial and has no root")
+    d_values = list(iter_reduced_tuples(n, max_d_len))
     family = []
     for i in range(1, m + 1):
+        head = (-(n + i),) + P.relator(i).letters
+        inners = []
+        for d in d_values:
+            b = concat_reduced(_inverse_letters(d) + head, d)
+            inners.append((b, _inverse_letters(b)))
         for j in range(1, m + 1):
-            for d in d_values:
-                family.append(exchange_relator(P, i, j, d))
+            t_j = (n + j,)
+            t_j_inv = (-(n + j),)
+            for b, b_inv in inners:
+                w = concat_reduced(
+                    concat_reduced(concat_reduced(t_j_inv, b_inv), t_j), b
+                )
+                family.append(MixedWord._trusted(n, m, w))
     for i in range(1, m + 1):
-        family.append(root_relator(P, i))
+        rho = root(P.relator(i)).root.letters
+        t_i = n + i
+        family.append(
+            MixedWord._trusted(n, m, (-t_i,) + _inverse_letters(rho) + (t_i,) + rho)
+        )
     return family
+
+
+def _inverse_letters(letters: tuple) -> tuple:
+    return tuple([-x for x in reversed(letters)])
 
 
 def in_mihailova(P: Presentation, p: PairWord, budget: ClosureBudget | None = None) -> Verdict:
@@ -338,7 +366,7 @@ def in_mihailova(P: Presentation, p: PairWord, budget: ClosureBudget | None = No
 
 
 def format_mixed_word(w: MixedWord) -> str:
-    return dt_alphabet(w.n, w.m).format(w.as_word())
+    return dt_alphabet(w.n, w.m).format(Word._trusted(w.n + w.m, w.letters))
 
 
 def parse_mixed_word(text: str, n: int, m: int) -> MixedWord:

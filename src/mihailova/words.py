@@ -11,6 +11,7 @@ immutable and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 
@@ -216,11 +217,17 @@ class Alphabet:
             )
         if w.is_empty:
             return "1"
-        toks = []
-        for x in w.letters:
-            name = self.letter_names[abs(x) - 1]
-            toks.append(name if x > 0 else name + "^-1")
-        return " ".join(toks)
+        tokens = self._tokens
+        return " ".join([tokens[x] for x in w.letters])
+
+    @cached_property
+    def _tokens(self) -> dict[int, str]:
+        """Letter -> its text token, e.g. 2 -> 'x2' and -2 -> 'x2^-1'."""
+        tokens = {}
+        for k, name in enumerate(self.letter_names, start=1):
+            tokens[k] = name
+            tokens[-k] = name + "^-1"
+        return tokens
 
     def parse(self, text: str) -> Word:
         toks = text.split()
@@ -242,10 +249,13 @@ class Alphabet:
         return Word(self.rank, tuple(letters))
 
 
+# Alphabets are frozen, so one instance per shape is shared by every caller.
+@lru_cache(maxsize=64)
 def x_alphabet(rank: int) -> Alphabet:
     return Alphabet(tuple(f"x{k}" for k in range(1, rank + 1)))
 
 
+@lru_cache(maxsize=64)
 def dt_alphabet(n: int, m: int) -> Alphabet:
     names = tuple(f"d{k}" for k in range(1, n + 1)) + tuple(
         f"t{j}" for j in range(1, m + 1)

@@ -61,6 +61,25 @@ def test_relators_counts_and_verification(runner, tmp_path):
     assert len(res.output.splitlines()) == 2
 
 
+def test_relators_verify_failure_stops_at_the_rejected_relator(
+        runner, tmp_path, monkeypatch):
+    checked = []
+
+    def rejects_fifth(P, w):
+        checked.append(w)
+        return len(checked) != 5
+
+    monkeypatch.setattr(mihailova.cli, "in_pair_kernel", rejects_fifth)
+    res = invoke(runner, tmp_path, TORUS_TEXT, "relators", "--max-d-len", "1",
+                 "--verify")
+    assert res.exit_code == 1
+    lines = res.output.splitlines()
+    assert lines[-1] == "# verification failed for relator 5"
+    assert len(lines) == 6 + 1  # the whole family, then the failure line
+    assert not any("all in ker(pi)" in l for l in lines)
+    assert len(checked) == 5
+
+
 def test_membership_equal_with_certificate(runner, tmp_path):
     res = invoke(runner, tmp_path, TORUS_TEXT, "membership",
                  "(1 , x1 x2 x1^-1 x2^-1)", "--verify")

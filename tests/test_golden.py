@@ -4,7 +4,9 @@ Each file under ``golden/`` is the exact output of one run of a command on
 the torus, trefoil or rank-3 presentation, recorded from an earlier version
 of the package: `check`, `relators --verify`, `membership --verify` with an
 equal, a not-equal and an unknown answer, `pi`, `embed-aut` and
-`reduce-identity --verify`.  A change in the order a search tries its moves,
+`reduce-identity --verify`.  Two more `relators --verify` runs use a relator
+that is not cyclically reduced and a one-generator relator, where the
+relator family's letters cancel across its factors.  A change in the order a search tries its moves,
 in the certificates it builds or in their text form shows up here as a
 diff, even when the new certificate would still verify.
 
@@ -41,6 +43,10 @@ PRESENTATIONS = {
         "rank 3\nrelator x1 x2 x1^-1 x2^-1\n"
         "relator x1 x3 x1^-1 x3^-1\nrelator x2 x3 x2^-1 x3^-1\n"
     ),
+    # not cyclically reduced, so r_1 cancels into the conjugator d
+    "conjugated": "rank 2\nrelator x2 x1 x1 x2^-1\n",
+    # one letter, so t_1 meets t_1^-1 at i == j with empty d
+    "square": "rank 1\nrelator x1 x1\n",
 }
 
 TORUS_TWISTED = "(x1 x1 x2 x2 , x2 x2 x1 x1)"
@@ -97,9 +103,13 @@ CASES = (
     ("torus-pi", "torus", ("pi", "d1 t1 d2^-1 t1^-1")),
     ("trefoil-pi", "trefoil", ("pi", "d1 t1 d2^-1 t1^-1")),
     ("rank3-pi", "rank3", ("pi", "d1 t2 d3^-1 t3^-1")),
+    ("conjugated-relators", "conjugated",
+     ("relators", "--max-d-len", "3", "--verify")),
+    ("square-relators", "square",
+     ("relators", "--max-d-len", "3", "--verify")),
 ) + tuple(
     (f"{name}-{stem}", name, argv)
-    for name in PRESENTATIONS
+    for name in ("torus", "trefoil", "rank3")
     for stem, argv in (
         ("check", ("check",)),
         ("relators", ("relators", "--max-d-len", "2", "--verify")),

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mihailova.pairs import (
     MixedWord,
@@ -249,6 +251,61 @@ def test_relator_family_in_kernel():
     for P in (TORUS, TREFOIL):
         assert all(in_pair_kernel(P, w) for w in relator_family(P, 3))
     assert all(in_pair_kernel(TWO_REL, w) for w in relator_family(TWO_REL, 2))
+
+
+@st.composite
+def family_cases(draw):
+    """(presentation, max_d_len) with n 1..4, m 1..3 and a ball of at most
+    187 conjugators; relators are nonempty and often not cyclically
+    reduced (u c u^-1 with the core c of length 1 or more)."""
+    n = draw(st.integers(1, 4))
+    max_d_len = draw(st.integers(0, 3 if n <= 3 else 2))
+    letter = st.integers(-n, n).filter(bool)
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        u = Word(n, tuple(draw(st.lists(letter, max_size=2))))
+        core = Word(n, tuple(draw(st.lists(letter, min_size=1, max_size=4))))
+        r = u * core * u.inverse()
+        if r.is_empty:
+            r = Word(n, (draw(letter),))
+        relators.append(r)
+    return Presentation(n, tuple(relators)), max_d_len
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_cases())
+@example((Presentation(1, (Word(1, (1,)),)), 3))  # length-1 relator
+@example((Presentation(1, (Word(1, (1, 1)),)), 3))
+@example((Presentation(2, (Word(2, (2, 1, 1, -2)),)), 3))  # r_1 cancels into d
+@example((Presentation(2, (Word(2, (1,)), Word(2, (-2, 1, 2)))), 2))
+@example((TWO_REL, 0))
+def test_relator_family_matches_per_member_construction(case):
+    P, max_d_len = case
+    n, m = P.rank, P.num_relators
+    ds = [MixedWord(n, m, lts) for lts in iter_reduced_tuples(n, max_d_len)]
+    expected = [
+        exchange_relator(P, i, j, d)
+        for i in range(1, m + 1) for j in range(1, m + 1) for d in ds
+    ] + [root_relator(P, i) for i in range(1, m + 1)]
+    family = relator_family(P, max_d_len)
+    assert family == expected
+
+
+def test_relator_family_skips_validated_construction(monkeypatch):
+    validated = 0
+    post_init = MixedWord.__post_init__
+
+    def counting(self):
+        nonlocal validated
+        validated += 1
+        post_init(self)
+
+    monkeypatch.setattr(MixedWord, "__post_init__", counting)
+    for P, max_d_len in ((TWO_REL, 2), (TREFOIL, 3)):
+        validated = 0
+        family = relator_family(P, max_d_len)
+        assert len(family) > 10 * P.num_relators
+        assert validated <= P.num_relators
 
 
 def test_in_pair_kernel_examples():
